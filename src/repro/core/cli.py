@@ -307,7 +307,6 @@ def _time_dispatch(executable, args: argparse.Namespace):
     vectors = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
                for _ in range(clients)]
     with BatchDispatcher(executable, max_batch=args.batch,
-                         max_delay=0.0005,
                          threads=args.threads) as dispatcher:
         counts = [0] * clients
         stop = _time.monotonic() + max(args.min_time, 0.01)

@@ -56,6 +56,7 @@ never mix (say) the old backend's ``batch_fn`` with the new one's
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -85,6 +86,8 @@ _PREFERENCE = {
     "numpy": ("numpy", "python"),
     "python": ("python",),
 }
+
+_c_double_p = ctypes.POINTER(ctypes.c_double)
 
 
 def _aligned_zeros(shape, dtype, align: int = 64) -> np.ndarray:
@@ -188,20 +191,27 @@ class ExecutableRoutine:
             self._tls.single = pair
         return pair
 
-    def _batch_buffers(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-thread (B, len) physical workspaces, reallocated only
-        when the calling thread's batch size changes."""
-        pair = getattr(self._tls, "batch", None)
-        if pair is None or pair[0].shape[0] != batch:
+    def _batch_buffers(self, batch: int) -> tuple:
+        """Per-thread ``(Xp, Yp, xptr, yptr)`` batch workspaces.
+
+        ``Xp``/``Yp`` are ``(rows, len)`` physical buffers with ``rows
+        >= batch``: they grow to the calling thread's largest batch and
+        are never shrunk, so a batch size that changes from call to
+        call (work-conserving dispatch under load) runs on the first
+        ``batch`` rows instead of reallocating.  ``xptr``/``yptr`` are
+        their row-0 ctypes pointers, converted once with the buffers.
+        """
+        cached = getattr(self._tls, "batch", None)
+        if cached is None or cached[0].shape[0] < batch:
             program = self.routine.program
             width = program.element_width
             dtype = self._dtype()
-            pair = (
-                _aligned_zeros((batch, program.in_size * width), dtype),
-                _aligned_zeros((batch, program.out_size * width), dtype),
-            )
-            self._tls.batch = pair
-        return pair
+            Xp = _aligned_zeros((batch, program.in_size * width), dtype)
+            Yp = _aligned_zeros((batch, program.out_size * width), dtype)
+            cached = (Xp, Yp, Xp.ctypes.data_as(_c_double_p),
+                      Yp.ctypes.data_as(_c_double_p))
+            self._tls.batch = cached
+        return cached
 
     # -- circuit breaker ------------------------------------------------
 
@@ -376,20 +386,20 @@ class ExecutableRoutine:
 
     def _run_rows(self, Yp: np.ndarray, Xp: np.ndarray,
                   lo: int, hi: int, batch_fn, batch_call,
-                  raw_call) -> None:
+                  raw_call, pointers: tuple | None = None) -> None:
         """The serial batch path over physical rows ``lo..hi`` (the
         whole batch at ``threads=1``, one shard otherwise).
 
         The callables are passed in — a snapshot taken under
         ``_swap_lock`` by ``apply_many`` — so a concurrent breaker
-        swap can never hand one shard a mixed backend.
+        swap can never hand one shard a mixed backend.  ``pointers``
+        are the cached ``(yptr, xptr)`` of row ``lo``, when known.
         """
         if batch_fn is not None:
-            import ctypes
-
-            c_double_p = ctypes.POINTER(ctypes.c_double)
-            batch_fn(Yp[lo:hi].ctypes.data_as(c_double_p),
-                     Xp[lo:hi].ctypes.data_as(c_double_p), hi - lo)
+            yptr, xptr = pointers or (
+                Yp[lo:hi].ctypes.data_as(_c_double_p),
+                Xp[lo:hi].ctypes.data_as(_c_double_p))
+            batch_fn(yptr, xptr, hi - lo)
         elif batch_call is not None:
             Yp[lo:hi].fill(0)
             batch_call(Yp[lo:hi], Xp[lo:hi])
@@ -422,7 +432,8 @@ class ExecutableRoutine:
             )
         width = program.element_width
         batch = X.shape[0]
-        Xp, Yp = self._batch_buffers(batch)
+        Xp, Yp, xptr, yptr = self._batch_buffers(batch)
+        Xp, Yp = Xp[:batch], Yp[:batch]
         if width == 2:
             Xp[:, 0::2] = X.real
             Xp[:, 1::2] = X.imag
@@ -442,12 +453,7 @@ class ExecutableRoutine:
             try:
                 nthreads = self._effective_threads(threads, batch)
                 if nthreads > 1 and batch_omp_fn is not None:
-                    import ctypes
-
-                    c_double_p = ctypes.POINTER(ctypes.c_double)
-                    batch_omp_fn(Yp.ctypes.data_as(c_double_p),
-                                 Xp.ctypes.data_as(c_double_p),
-                                 batch, nthreads)
+                    batch_omp_fn(yptr, xptr, batch, nthreads)
                 else:
                     if nthreads > 1:
                         run_sharded(
@@ -458,7 +464,8 @@ class ExecutableRoutine:
                         )
                     else:
                         self._run_rows(Yp, Xp, 0, batch,
-                                       batch_fn, batch_call, raw_call)
+                                       batch_fn, batch_call, raw_call,
+                                       (yptr, xptr))
                 break
             except Exception as exc:  # noqa: BLE001 - breaker path
                 # Partial rows are harmless: every retried path zeroes
@@ -480,12 +487,9 @@ class ExecutableRoutine:
         ).astype(self._dtype())
         y = np.zeros(program.out_size * width, dtype=self._dtype())
         if self.backend in ("c", "cjit"):
-            import ctypes
-
-            c_double_p = ctypes.POINTER(ctypes.c_double)
             fn = self.ctypes_fn
-            xp = x.ctypes.data_as(c_double_p)
-            yp = y.ctypes.data_as(c_double_p)
+            xp = x.ctypes.data_as(_c_double_p)
+            yp = y.ctypes.data_as(_c_double_p)
 
             def call() -> None:
                 fn(yp, xp)
@@ -532,14 +536,11 @@ def _build_cjit(routine: CompiledRoutine) -> ExecutableRoutine:
     from repro.perfeval import jit
 
     jitted = jit.compile_jit(routine.program)
-    import ctypes
-
-    c_double_p = ctypes.POINTER(ctypes.c_double)
     fn = jitted.fn
 
     def jit_call(y: np.ndarray, x: np.ndarray) -> None:
-        fn(y.ctypes.data_as(c_double_p),
-           np.ascontiguousarray(x).ctypes.data_as(c_double_p))
+        fn(y.ctypes.data_as(_c_double_p),
+           np.ascontiguousarray(x).ctypes.data_as(_c_double_p))
 
     return ExecutableRoutine(routine=routine, backend="cjit",
                              raw_call=jit_call, ctypes_fn=jitted.fn,
@@ -632,13 +633,10 @@ def _build_c(routine: CompiledRoutine,
         if openmp:
             batch_omp_fn = ccompile.load_batch_omp_function(
                 so_path, routine.name)
-    import ctypes
-
-    c_double_p = ctypes.POINTER(ctypes.c_double)
 
     def c_call(y: np.ndarray, x: np.ndarray, *args) -> None:
-        fn(y.ctypes.data_as(c_double_p),
-           np.ascontiguousarray(x).ctypes.data_as(c_double_p), *args)
+        fn(y.ctypes.data_as(_c_double_p),
+           np.ascontiguousarray(x).ctypes.data_as(_c_double_p), *args)
 
     return ExecutableRoutine(routine=routine, backend="c", raw_call=c_call,
                              ctypes_fn=fn, batch_fn=batch_fn,

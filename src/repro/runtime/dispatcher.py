@@ -2,24 +2,21 @@
 
 An inference-server-style batcher for transform execution.  Callers on
 many threads each submit one vector; the dispatcher gathers concurrent
-requests — bounded by a maximum batch size and a maximum added latency
-— and executes them as a single ``apply_many`` batch, which is the
-amortized fast path every backend provides (one ctypes crossing, one
-NumPy call, OpenMP over the batch axis).  Each caller gets back
+requests and executes them as a single ``apply_many`` batch, which is
+the amortized fast path every backend provides (one ctypes crossing,
+one NumPy call, OpenMP over the batch axis).  Each caller gets back
 exactly the row it would have gotten from a serial ``apply``: batch
 rows are computed independently with identical per-row arithmetic, so
 results are bit-identical.
 
-The flush policy is the standard one (size- and deadline-bounded):
+Batching is work-conserving — there is no timer:
 
-* a batch is executed immediately once ``max_batch`` requests are
-  waiting;
-* otherwise it is executed ``max_delay`` seconds after the *oldest
-  pending* request arrived, so no request ever waits longer than
-  ``max_delay`` before its batch is taken — the latency bound is
-  per-request (each request carries its arrival time), not a property
-  of the queue, so a flush that leaves stragglers pending does not
-  restart their clock;
+* whenever the worker is free it takes everything pending, oldest
+  first, up to ``max_batch`` requests;
+* requests that arrive while a batch runs queue up and form the next
+  batch, so batch size follows load: a lone request on an idle
+  dispatcher runs at once as a batch of one, and a saturated one runs
+  full batches back to back;
 * ``close()`` flushes whatever is pending (``close(drain=False)``
   cancels it with :class:`DispatcherClosed` instead).
 
@@ -65,6 +62,10 @@ class DispatchStats:
     * ``batches`` counts *flushes* — coalesced batches taken off the
       queue and attempted, whatever their outcome.  It always equals
       ``size_flushes + deadline_flushes + close_flushes``.
+    * ``size_flushes`` counts batches taken full (``max_batch``
+      requests); ``deadline_flushes`` counts batches taken short of
+      ``max_batch`` because the worker was free — in effect a deadline
+      of zero, since batching is work-conserving and has no timer.
     * ``coalesced_requests`` counts requests actually *served* by a
       shared ``apply_many`` call of two or more — a batch that failed
       and was split request-by-request contributes nothing here.
@@ -79,7 +80,7 @@ class DispatchStats:
     coalesced_requests: int = 0  # requests served in a shared batch >= 2
     max_batch: int = 0  # largest batch taken off the queue
     size_flushes: int = 0  # batches flushed because max_batch was hit
-    deadline_flushes: int = 0  # batches flushed by the latency bound
+    deadline_flushes: int = 0  # non-full batches taken by a free worker
     close_flushes: int = 0  # batches flushed during close()
     isolation_splits: int = 0  # failed batches retried request-by-request
     retried_requests: int = 0  # singleton retries issued by those splits
@@ -90,23 +91,20 @@ class DispatchStats:
 class _Request:
     """One submitted vector and its (eventual) resolution.
 
-    ``arrival`` is the ``time.monotonic()`` submission stamp that the
-    worker's latency bound is computed from.  ``on_done`` (optional)
-    is invoked exactly once, after ``done`` is set, from whichever
-    thread resolved the request — the hook the asyncio front-end uses
-    to bridge back onto its event loop without burning a thread per
-    in-flight request.
+    ``on_done`` (optional) is invoked exactly once, after ``done`` is
+    set, from whichever thread resolved the request — the hook the
+    asyncio front-end uses to bridge back onto its event loop without
+    burning a thread per in-flight request.
     """
 
-    __slots__ = ("x", "result", "error", "done", "arrival", "on_done")
+    __slots__ = ("x", "result", "error", "done", "on_done")
 
-    def __init__(self, x: np.ndarray, arrival: float = 0.0,
+    def __init__(self, x: np.ndarray,
                  on_done: Callable[["_Request"], None] | None = None):
         self.x = x
         self.result: np.ndarray | None = None
         self.error: BaseException | None = None
         self.done = threading.Event()
-        self.arrival = arrival
         self.on_done = on_done
 
     def resolve(self, result: np.ndarray) -> None:
@@ -147,16 +145,12 @@ class BatchDispatcher:
     """
 
     def __init__(self, target, *, max_batch: int = 64,
-                 max_delay: float = 0.002,
                  threads: int | None = None,
                  dtype: np.dtype | str | None = None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         self.target = target
         self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay)
         self.threads = threads
         if dtype is None:
             dtype = getattr(target, "dtype", None)
@@ -208,7 +202,7 @@ class BatchDispatcher:
         coalesced batch it would have ridden in.
         """
         x = self._validate(x)
-        request = _Request(x, time.monotonic(), on_done)
+        request = _Request(x, on_done)
         with self._lock:
             if self._closed:
                 raise DispatcherClosed("BatchDispatcher is closed")
@@ -235,10 +229,6 @@ class BatchDispatcher:
                 )
             x = x.astype(self.dtype)
         return x
-
-    # Backwards-compatible alias (pre-serving internal name).
-    def _submit(self, x: np.ndarray) -> _Request:
-        return self.submit(x)
 
     @property
     def stats(self) -> DispatchStats:
@@ -337,36 +327,23 @@ class BatchDispatcher:
     # -- worker side ---------------------------------------------------------
 
     def _take_batch(self) -> tuple[list[_Request], str] | None:
-        """Block until a batch is due; None when closed and drained.
+        """Block until work is pending; None when closed and drained.
 
-        The latency bound is per-request: the flush deadline is always
-        ``oldest_pending_arrival + max_delay`` (pending is FIFO, so the
-        oldest request is ``_pending[0]``).  A flush that leaves
-        requests pending therefore does *not* restart their clock —
-        the old code reset a queue-level deadline to ``now +
-        max_delay`` after every flush, so stragglers could wait nearly
-        ``2 x max_delay`` under sustained load.
+        Work-conserving: the free worker takes every pending request,
+        oldest first, up to ``max_batch``, without waiting for more.
         """
         with self._lock:
-            while True:
-                if self._pending:
-                    if self._closed:
-                        reason = "close"
-                    elif len(self._pending) >= self.max_batch:
-                        reason = "size"
-                    else:
-                        deadline = self._pending[0].arrival + self.max_delay
-                        remaining = deadline - time.monotonic()
-                        if remaining > 0:
-                            self._wakeup.wait(remaining)
-                            continue
-                        reason = "deadline"
-                    batch = self._pending[: self.max_batch]
-                    del self._pending[: len(batch)]
-                    return batch, reason
+            while not self._pending:
                 if self._closed:
                     return None
                 self._wakeup.wait()
+            batch = self._pending[: self.max_batch]
+            del self._pending[: len(batch)]
+            if self._closed:
+                return batch, "close"
+            if len(batch) == self.max_batch:
+                return batch, "size"
+            return batch, "deadline"
 
     def _apply_one(self, request: _Request) -> None:
         """Run one request alone; resolve it with its own outcome."""

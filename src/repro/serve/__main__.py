@@ -3,13 +3,17 @@
 Examples::
 
     spl serve --port 7462 --warm fft:64 fft:1024
-    spl serve --wisdom wisdom.json --warm fft:64 --max-delay-ms 1
+    spl serve --wisdom wisdom.json --warm fft:64 --max-batch 16
     spl serve --port 7462 --workers 4 --warm fft:64
 
 ``--warm`` prebuilds routes at boot; with ``--wisdom`` pointing at a
 store produced by ``spl-compile --search --wisdom ...`` the warmed
 plans replay the search winners (hot boot) instead of the default
 factorization.
+
+Batching is work-conserving: a plan's worker takes every pending
+request, up to ``--max-batch``, the moment it is free, so an unloaded
+request runs at once and batches grow only under load.
 
 ``--workers N`` (N >= 2) runs a supervised fleet: N forked worker
 processes share the port via ``SO_REUSEPORT``, crashed workers are
@@ -82,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="backend chain head (default: cjit when "
                              "the in-process JIT is available, else c "
                              "if a compiler is available)")
-    parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--max-delay-ms", type=float, default=2.0,
-                        help="per-request coalescing latency bound")
+    parser.add_argument("--max-batch", type=int, default=64,
+                        help="most pending requests one batch takes "
+                             "(batching is work-conserving: no timer)")
     parser.add_argument("--queue-limit", type=int, default=256,
                         help="per-plan in-flight bound (overload "
                              "rejections beyond it)")
@@ -130,7 +134,6 @@ def main(argv: list[str] | None = None) -> int:
         pack_path=args.pack,
         prefer=args.prefer,
         max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1e3,
         queue_limit=args.queue_limit,
         threads=args.threads,
         drain_grace_s=args.drain_grace_s,

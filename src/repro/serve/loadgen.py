@@ -14,7 +14,7 @@ Three arrival processes (``pattern``):
 * ``poisson`` — exponential inter-arrivals at the same mean rate;
 * ``burst`` — Poisson arrivals whose rate multiplies by
   ``burst_factor`` during periodic bursts (``burst_every`` /
-  ``burst_duration`` seconds), stressing the coalescing window.
+  ``burst_duration`` seconds), stressing batch coalescing.
 
 ``mix`` maps transform specs to weights, so one run can interleave
 sizes (e.g. 64-point and 1024-point FFTs) against the same router.

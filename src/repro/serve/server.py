@@ -13,8 +13,9 @@ asyncio front-end over the length-prefixed protocol
 Each stage already existed; the server is their first joint consumer:
 
 * the **dispatcher** turns concurrent single-vector requests into
-  ``apply_many`` batches (the per-request latency bound fixed in this
-  package's PR is what makes its ``max_delay`` an honest SLO term);
+  ``apply_many`` batches; it is work-conserving, so a request on an
+  idle plan runs at once and only requests that queue behind a running
+  batch share the next one;
 * the **circuit breakers** degrade a faulting backend in place, so a
   poisoned native driver costs the fleet a speed tier, not an error
   storm of ``internal`` responses;
@@ -61,12 +62,10 @@ class PlanService:
     """One routed plan: dispatcher + admission around an executable."""
 
     def __init__(self, plan: Plan, *, max_batch: int = 64,
-                 max_delay: float = 0.002, queue_limit: int = 256,
-                 threads: int | None = None):
+                 queue_limit: int = 256, threads: int | None = None):
         self.plan = plan
         self.dispatcher = BatchDispatcher(
-            plan.executable, max_batch=max_batch, max_delay=max_delay,
-            threads=threads,
+            plan.executable, max_batch=max_batch, threads=threads,
         )
         self.admission = AdmissionController(
             queue_limit=queue_limit, batch_hint=max_batch,
@@ -89,11 +88,10 @@ class Router:
     """Lazily builds one :class:`PlanService` per requested route."""
 
     def __init__(self, registry: PlanRegistry | None = None, *,
-                 max_batch: int = 64, max_delay: float = 0.002,
-                 queue_limit: int = 256, threads: int | None = None):
+                 max_batch: int = 64, queue_limit: int = 256,
+                 threads: int | None = None):
         self.registry = registry or PlanRegistry()
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self.queue_limit = queue_limit
         self.threads = threads
         self._services: dict[PlanKey, PlanService] = {}
@@ -122,7 +120,6 @@ class Router:
             if existing is None:
                 existing = self._services[key] = PlanService(
                     plan, max_batch=self.max_batch,
-                    max_delay=self.max_delay,
                     queue_limit=self.queue_limit, threads=self.threads,
                 )
             return existing

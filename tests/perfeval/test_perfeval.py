@@ -249,7 +249,11 @@ class TestBatchExecution:
         executable.apply_many(X + 1)
         assert executable._batch_buffers(4) is first  # buffers reused
         executable.apply_many(self._batch(8, 6))
-        assert executable._batch_buffers(6) is not first  # resized for B=6
+        grown = executable._batch_buffers(6)
+        assert grown is not first  # grown for B=6
+        executable.apply_many(X)
+        # A smaller batch runs on the high-water buffers' first rows.
+        assert executable._batch_buffers(4) is grown
 
     def test_apply_many_rejects_wrong_shape(self):
         from repro.core.errors import SplSemanticError

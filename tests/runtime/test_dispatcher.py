@@ -24,56 +24,62 @@ def _vectors(n, count, seed=0):
             + 1j * rng.standard_normal((count, n)))
 
 
-class _CountingTarget:
-    """Wraps an executable, counting apply_many calls and batch sizes."""
+class _GateTarget:
+    """Wraps a target; holds every batch until released.
 
-    def __init__(self, executable):
-        self._inner = executable
-        self.n = executable.n
+    ``entered`` fires when the worker first enters ``apply_many``, and
+    ``calls`` records each batch size.  Submitting one request and
+    waiting on ``entered`` parks the worker inside a batch, so the
+    requests submitted next all queue up for the following batch.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.n = inner.n
+        self.entered = threading.Event()
+        self.release = threading.Event()
         self.calls = []
 
     def apply_many(self, X, threads=None):
         self.calls.append(X.shape[0])
+        self.entered.set()
+        assert self.release.wait(60), "gate never released"
         return self._inner.apply_many(X)
+
+
+def _park_worker(d, gate, x):
+    """Submit ``x`` and return once the worker is blocked running it."""
+    request = d.submit(x)
+    assert gate.entered.wait(10)
+    return request
 
 
 class TestCoalescing:
     def test_concurrent_requests_share_one_batch(self):
         executable = _executable()
-        target = _CountingTarget(executable)
-        X = _vectors(8, 6)
-        barrier = threading.Barrier(6)
-        results = [None] * 6
-        # A generous delay so all 6 requests land within one window.
-        with BatchDispatcher(target, max_batch=6, max_delay=0.25) as d:
-
-            def client(i):
-                barrier.wait()
-                results[i] = d.apply(X[i])
-
-            threads = [threading.Thread(target=client, args=(i,))
-                       for i in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        gate = _GateTarget(executable)
+        X = _vectors(8, 7)
+        with BatchDispatcher(gate, max_batch=6) as d:
+            requests = [_park_worker(d, gate, X[0])]
+            # Six requests arrive while the first batch runs.
+            requests += [d.submit(x) for x in X[1:]]
+            gate.release.set()
+            assert d.wait_idle(timeout=30.0)
             stats = d.stats
-        # All six went through strictly fewer apply_many calls, and at
-        # least one call served >= 2 requests (the acceptance check).
-        assert stats.requests == 6
-        assert stats.batches < 6
-        assert stats.max_batch >= 2
-        assert stats.coalesced_requests >= 2
-        assert max(target.calls) >= 2
-        for i in range(6):
-            np.testing.assert_array_equal(results[i], executable.apply(X[i]))
+        assert gate.calls == [1, 6]
+        assert stats.requests == 7
+        assert stats.batches == 2
+        assert stats.max_batch == 6
+        assert stats.coalesced_requests == 6
+        for x, request in zip(X, requests):
+            np.testing.assert_array_equal(request.result,
+                                          executable.apply(x))
 
     def test_bit_identical_to_serial_apply(self):
         for prefer in ("python", "numpy"):
             executable = _executable(prefer=prefer)
             X = _vectors(8, 16, seed=3)
-            with BatchDispatcher(executable, max_batch=4,
-                                 max_delay=0.01) as d:
+            with BatchDispatcher(executable, max_batch=4) as d:
                 outs = [None] * 16
 
                 def client(i):
@@ -91,39 +97,22 @@ class TestCoalescing:
 
     def test_size_flush_at_max_batch(self):
         executable = _executable()
-        X = _vectors(8, 4)
-        with BatchDispatcher(executable, max_batch=2, max_delay=10.0) as d:
-            outs = [None] * 4
-
-            def client(i):
-                outs[i] = d.apply(X[i])
-
-            threads = [threading.Thread(target=client, args=(i,))
-                       for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        gate = _GateTarget(executable)
+        X = _vectors(8, 5)
+        with BatchDispatcher(gate, max_batch=2) as d:
+            requests = [_park_worker(d, gate, X[0])]
+            requests += [d.submit(x) for x in X[1:]]
+            gate.release.set()
+            assert d.wait_idle(timeout=30.0)
             stats = d.stats
-        # A 10s deadline can't have fired; only size flushes drained it.
-        assert stats.size_flushes >= 1
-        assert stats.deadline_flushes == 0
-        assert stats.max_batch <= 2
-        for i in range(4):
-            np.testing.assert_array_equal(outs[i], executable.apply(X[i]))
-
-    def test_lone_request_flushes_by_deadline(self):
-        executable = _executable()
-        x = _vectors(8, 1)[0]
-        with BatchDispatcher(executable, max_batch=64,
-                             max_delay=0.005) as d:
-            start = time.monotonic()
-            y = d.apply(x)
-            elapsed = time.monotonic() - start
-            stats = d.stats
-        assert elapsed < 2.0  # did not wait for a full batch
+        # The lone first request ran short of max_batch; the four
+        # queued behind it drained as two full batches.
+        assert gate.calls == [1, 2, 2]
+        assert stats.size_flushes == 2
         assert stats.deadline_flushes == 1
-        np.testing.assert_array_equal(y, executable.apply(x))
+        for x, request in zip(X, requests):
+            np.testing.assert_array_equal(request.result,
+                                          executable.apply(x))
 
 
 class TestLifecycle:
@@ -149,7 +138,7 @@ class TestLifecycle:
             def apply_many(self, X):
                 raise RuntimeError("backend exploded")
 
-        with BatchDispatcher(Exploding(), max_delay=0.001) as d:
+        with BatchDispatcher(Exploding()) as d:
             with pytest.raises(RuntimeError, match="backend exploded"):
                 d.apply(np.zeros(8))
         # The worker survives an erroring batch until close().
@@ -158,8 +147,6 @@ class TestLifecycle:
         executable = _executable()
         with pytest.raises(ValueError):
             BatchDispatcher(executable, max_batch=0)
-        with pytest.raises(ValueError):
-            BatchDispatcher(executable, max_delay=-1.0)
 
     def test_threads_forwarded_to_apply_many(self):
         executable = _executable()
@@ -172,8 +159,7 @@ class TestLifecycle:
                 seen.append(threads)
                 return executable.apply_many(X)
 
-        with BatchDispatcher(Recording(), threads=2,
-                             max_delay=0.001) as d:
+        with BatchDispatcher(Recording(), threads=2) as d:
             d.apply(_vectors(8, 1)[0])
         assert seen == [2]
 
@@ -190,24 +176,24 @@ class TestShutdownSemantics:
 
     def test_close_drains_pending_requests(self):
         executable = _executable()
-        X = _vectors(8, 3)
-        # A huge deadline: nothing flushes until close() drains it.
-        d = BatchDispatcher(executable, max_batch=64, max_delay=30.0)
-        outs = [None] * 3
-        threads = [threading.Thread(target=lambda i=i: outs.__setitem__(
-            i, d.apply(X[i]))) for i in range(3)]
-        for t in threads:
-            t.start()
-        while d.stats.requests < 3:
+        gate = _GateTarget(executable)
+        X = _vectors(8, 4)
+        d = BatchDispatcher(gate, max_batch=64)
+        requests = [_park_worker(d, gate, X[0])]
+        requests += [d.submit(x) for x in X[1:]]  # pending behind it
+        # drain=True: the pending requests execute as a final batch.
+        closer = threading.Thread(target=d.close)
+        closer.start()
+        while not d._closed:
             time.sleep(0.001)
-        start = time.monotonic()
-        d.close()  # drain=True: pending requests execute as final batches
-        assert time.monotonic() - start < 5.0
-        for t in threads:
-            t.join()
-        assert d.stats.close_flushes >= 1
-        for i in range(3):
-            np.testing.assert_array_equal(outs[i], executable.apply(X[i]))
+        gate.release.set()
+        closer.join(30)
+        assert not closer.is_alive()
+        assert gate.calls == [1, 3]
+        assert d.stats.close_flushes == 1
+        for x, request in zip(X, requests):
+            np.testing.assert_array_equal(request.result,
+                                          executable.apply(x))
 
     def test_close_without_drain_cancels_with_dispatcher_closed(self):
         from repro.runtime import DispatcherClosed
@@ -229,7 +215,7 @@ class TestShutdownSemantics:
                 return executable.apply_many(X)
 
         target = Gated()
-        d = BatchDispatcher(target, max_batch=1, max_delay=0.0)
+        d = BatchDispatcher(target, max_batch=1)
         X = _vectors(8, 3)
         outcomes = [None] * 3
 
@@ -269,16 +255,22 @@ class TestShutdownSemantics:
         from repro.runtime import DispatcherClosed
         from repro.runtime.dispatcher import _Request
 
-        executable = _executable()
-        d = BatchDispatcher(executable, max_batch=64, max_delay=30.0)
+        gate = _GateTarget(_executable())
+        d = BatchDispatcher(gate, max_batch=64)
+        running = _park_worker(d, gate, np.zeros(8, dtype=complex))
         # Simulate requests stranded when the worker exits: inject them
-        # behind the worker's back, then close with drain=False.
+        # behind the busy worker's back, then close with drain=False.
         stranded = _Request(np.zeros(8, dtype=complex))
         with d._lock:
             d._pending.append(stranded)
-        d.close(drain=False)
-        assert stranded.done.is_set()
+        closer = threading.Thread(target=d.close, args=(False,))
+        closer.start()
+        assert stranded.done.wait(10)
         assert isinstance(stranded.error, DispatcherClosed)
+        gate.release.set()
+        closer.join(30)
+        assert not closer.is_alive()
+        assert running.error is None
 
 
 class TestFaultIsolation:
@@ -296,49 +288,37 @@ class TestFaultIsolation:
 
     def test_poisoned_request_fails_alone(self):
         executable = _executable()
-        target = self.Poisonable(executable)
+        gate = _GateTarget(self.Poisonable(executable))
         X = _vectors(8, 4)
         poison = X[2].copy()
         poison[0] = np.nan
         vectors = [X[0], X[1], poison, X[3]]
-        outcomes = [None] * 4
-        barrier = threading.Barrier(4)
-        with BatchDispatcher(target, max_batch=4, max_delay=0.25) as d:
-
-            def client(i):
-                barrier.wait()
-                try:
-                    outcomes[i] = ("ok", d.apply(vectors[i]))
-                except ValueError as exc:
-                    outcomes[i] = ("error", exc)
-
-            threads = [threading.Thread(target=client, args=(i,))
-                       for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        with BatchDispatcher(gate, max_batch=4) as d:
+            warm = _park_worker(d, gate, X[0])
+            requests = [d.submit(x) for x in vectors]  # one batch of 4
+            gate.release.set()
+            assert d.wait_idle(timeout=30.0)
             stats = d.stats
+        assert warm.error is None
         # Exactly the poisoned caller saw the error...
-        assert outcomes[2][0] == "error"
-        assert "poisoned" in str(outcomes[2][1])
+        assert isinstance(requests[2].error, ValueError)
+        assert "poisoned" in str(requests[2].error)
         # ... everyone else got their correct row.
         for i in (0, 1, 3):
-            assert outcomes[i][0] == "ok"
-            np.testing.assert_array_equal(outcomes[i][1],
+            assert requests[i].error is None
+            np.testing.assert_array_equal(requests[i].result,
                                           executable.apply(vectors[i]))
+        # The coalesced batch failed, was split and retried per request.
+        assert gate.calls == [1, 4, 1, 1, 1, 1]
         assert stats.failed_requests == 1
-        if stats.max_batch >= 2:
-            # When coalescing actually happened, the failed batch was
-            # split and retried per-request.
-            assert stats.isolation_splits >= 1
+        assert stats.isolation_splits == 1
 
     def test_single_request_error_not_counted_as_split(self):
         executable = _executable()
         target = self.Poisonable(executable)
         poison = np.zeros(8, dtype=complex)
         poison[0] = np.nan
-        with BatchDispatcher(target, max_batch=1, max_delay=0.0) as d:
+        with BatchDispatcher(target, max_batch=1) as d:
             with pytest.raises(ValueError, match="poisoned"):
                 d.apply(poison)
             good = _vectors(8, 1)[0]
@@ -349,25 +329,11 @@ class TestFaultIsolation:
         assert stats.failed_requests == 1
 
 
-class _GateTarget:
-    """Wraps an executable; holds every batch until released."""
-
-    def __init__(self, executable):
-        self._inner = executable
-        self.n = executable.n
-        self.release = threading.Event()
-
-    def apply_many(self, X, threads=None):
-        assert self.release.wait(60), "gate never released"
-        return self._inner.apply_many(X)
-
-
 class TestDrainHooks:
     """wait_idle / unresolved_count — the server drain's foundation."""
 
     def test_idle_dispatcher_is_immediately_idle(self):
-        with BatchDispatcher(_executable(), max_batch=4,
-                             max_delay=0.01) as d:
+        with BatchDispatcher(_executable(), max_batch=4) as d:
             assert d.unresolved_count == 0
             assert d.wait_idle(timeout=0.1) is True
 
@@ -375,7 +341,7 @@ class TestDrainHooks:
         executable = _executable()
         gate = _GateTarget(executable)
         X = _vectors(8, 3, seed=5)
-        with BatchDispatcher(gate, max_batch=4, max_delay=0.01) as d:
+        with BatchDispatcher(gate, max_batch=4) as d:
             requests = [d.submit(x) for x in X]
             assert d.unresolved_count == 3
             assert d.wait_idle(timeout=0.15) is False  # gate held
@@ -395,15 +361,14 @@ class TestDrainHooks:
             def apply_many(self, X, threads=None):
                 raise RuntimeError("boom")
 
-        with BatchDispatcher(Exploding(_executable()), max_batch=4,
-                             max_delay=0.01) as d:
+        with BatchDispatcher(Exploding(_executable()), max_batch=4) as d:
             request = d.submit(_vectors(8, 1, seed=6)[0])
             assert d.wait_idle(timeout=30.0) is True
             assert isinstance(request.error, RuntimeError)
 
     def test_cancelled_requests_resolve_idleness(self):
         gate = _GateTarget(_executable())
-        with BatchDispatcher(gate, max_batch=1, max_delay=5.0) as d:
+        with BatchDispatcher(gate, max_batch=1) as d:
             d.submit(_vectors(8, 1, seed=7)[0])
             gate.release.set()
             d.close(drain=False)

@@ -2,9 +2,9 @@
 
 Each test here pins one of the fixed behaviors:
 
-* the latency bound is per-request (``oldest_pending_arrival +
-  max_delay``), not a queue-level deadline that restarts after every
-  flush — the regression test fails on the old deadline-reset code;
+* batching is work-conserving: a free worker takes everything
+  pending at once, so a lone request runs alone and requests queued
+  behind a running batch form exactly the next batch;
 * ``close()`` reached from the worker thread itself (a fault-handling
   callback inside the target) must not self-join and deadlock;
 * dtype is validated per request at submission, so one wrong-dtype
@@ -78,81 +78,29 @@ def _id_vector(n, i):
     return x
 
 
-class TestLatencyBound:
-    def test_flush_does_not_restart_pending_requests_clock(self):
-        """A request left pending across a flush keeps its original
-        latency bound.  The old code reset the queue deadline to
-        ``now + max_delay`` after every flush, so the straggler below
-        waited a *full* extra max_delay after the gate opened; the
-        fixed code flushes it immediately (its bound is long past).
-        """
+class TestWorkConserving:
+    def test_free_worker_takes_everything_pending_at_once(self):
+        """No request waits while the worker is idle: a lone request
+        runs at once as a batch of one, and every request submitted
+        while a batch runs lands in the single next batch."""
         executable = _executable()
         target = _Gated(executable)
-        max_delay = 0.3
         n = executable.n
-        with BatchDispatcher(target, max_batch=2,
-                             max_delay=max_delay) as d:
-            outs = {}
-
-            def client(i):
-                outs[i] = d.apply(_id_vector(n, i))
-
-            # Two requests -> an immediate size flush; the worker then
-            # blocks inside the gated first apply_many.
-            first_two = [threading.Thread(target=client, args=(i,))
-                         for i in (0, 1)]
-            for t in first_two:
-                t.start()
+        with BatchDispatcher(target, max_batch=64) as d:
+            running = d.submit(_id_vector(n, 0))
             assert target.first_entered.wait(10)
-            # Three more arrive while the worker is stuck; they age
-            # well past max_delay before the gate opens.
-            rest = [threading.Thread(target=client, args=(i,))
-                    for i in (2, 3, 4)]
-            for t in rest:
-                t.start()
-            while d.stats.requests < 5:
-                time.sleep(0.001)
-            time.sleep(max_delay + 0.2)  # all three are now overdue
-            release_time = time.monotonic()
+            queued = [d.submit(_id_vector(n, i)) for i in (1, 2, 3)]
             target.release_first.set()
-            for t in first_two + rest:
-                t.join(30)
-                assert not t.is_alive()
-        served_at = {}
-        for when, ids in target.calls:
-            for i in ids:
-                served_at[i] = when
-        assert set(served_at) == {0, 1, 2, 3, 4}
-        # Request 4 is the straggler: the size flush at gate-open takes
-        # 2 and 3, leaving 4 pending.  Its latency bound expired long
-        # ago, so the fixed worker takes it immediately; the buggy one
-        # restarted its clock and sat on it for another full max_delay.
-        assert served_at[4] - release_time < max_delay / 2, (
-            f"straggler waited {served_at[4] - release_time:.3f}s after "
-            f"the worker went idle — its latency bound was restarted"
-        )
-        for i in range(5):
+            assert d.wait_idle(timeout=30.0)
+            lone = d.submit(_id_vector(n, 4))
+            assert d.wait_idle(timeout=30.0)
+            stats = d.stats
+        assert [ids for _, ids in target.calls] == [[0], [1, 2, 3], [4]]
+        assert stats.batches == 3
+        assert stats.deadline_flushes == 3  # none full, none at close
+        for i, request in enumerate([running, *queued, lone]):
             np.testing.assert_array_equal(
-                outs[i], executable.apply(_id_vector(n, i)))
-
-    def test_steady_trickle_observes_the_latency_bound(self):
-        """Under a steady trickle, no request waits pathologically
-        longer than max_delay before resolving (generous slack for
-        scheduling and execution time)."""
-        executable = _executable()
-        max_delay = 0.05
-        n = executable.n
-        latencies = []
-        with BatchDispatcher(executable, max_batch=64,
-                             max_delay=max_delay) as d:
-            for i in range(12):
-                start = time.monotonic()
-                d.apply(_vec(n, i))
-                latencies.append(time.monotonic() - start)
-                time.sleep(max_delay * 0.4)
-        # Every request: bounded by max_delay plus service/scheduling
-        # slack, never the old worst case of ~2 x max_delay sustained.
-        assert max(latencies) < max_delay + 0.5
+                request.result, executable.apply(_id_vector(n, i)))
 
 
 class TestReentrantClose:
@@ -173,7 +121,7 @@ class TestReentrantClose:
                 return executable.apply_many(X)
 
         target = SelfCloser()
-        d = BatchDispatcher(target, max_delay=0.001)
+        d = BatchDispatcher(target)
         target.dispatcher = d
         x = _vec(executable.n)
         box = {}
@@ -212,7 +160,7 @@ class TestDtypeValidation:
         executable = _executable()
         assert executable.dtype == np.dtype(np.complex128)
         x = np.arange(8, dtype=np.float64)
-        with BatchDispatcher(executable, max_delay=0.001) as d:
+        with BatchDispatcher(executable) as d:
             y = d.apply(x)
         np.testing.assert_array_equal(
             y, executable.apply(x.astype(np.complex128)))
@@ -222,27 +170,20 @@ class TestDtypeValidation:
         submission, so the stacked batch dtype is uniform and every
         caller gets the exact serial answer."""
         executable = _executable()
+        target = _Gated(executable)
         n = executable.n
         vectors = [_vec(n, 0), np.arange(n, dtype=np.float64), _vec(n, 2)]
-        outs = [None] * 3
-        barrier = threading.Barrier(3)
-        with BatchDispatcher(executable, max_batch=3, max_delay=0.25) as d:
-
-            def client(i):
-                barrier.wait()
-                outs[i] = d.apply(vectors[i])
-
-            threads = [threading.Thread(target=client, args=(i,))
-                       for i in range(3)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        for i in range(3):
+        with BatchDispatcher(target, max_batch=3) as d:
+            d.submit(_vec(n, 9))
+            assert target.first_entered.wait(10)  # worker busy
+            requests = [d.submit(x) for x in vectors]
+            target.release_first.set()
+            assert d.wait_idle(timeout=30.0)
+        assert [len(ids) for _, ids in target.calls] == [1, 3]
+        for x, request in zip(vectors, requests):
             np.testing.assert_array_equal(
-                outs[i],
-                executable.apply(np.asarray(vectors[i],
-                                            dtype=np.complex128)))
+                request.result,
+                executable.apply(np.asarray(x, dtype=np.complex128)))
 
     def test_explicit_dtype_parameter_overrides_target(self):
         class Bare:
@@ -251,8 +192,7 @@ class TestDtypeValidation:
             def apply_many(self, X):
                 return X.copy()
 
-        with BatchDispatcher(Bare(), dtype=np.float64,
-                             max_delay=0.001) as d:
+        with BatchDispatcher(Bare(), dtype=np.float64) as d:
             with pytest.raises(ValueError):
                 d.apply(np.zeros(4, dtype=np.complex128))
             np.testing.assert_array_equal(
@@ -284,7 +224,7 @@ class TestStatsSemantics:
         if poison_index is not None:
             vectors[poison_index][1] = np.nan
         outcomes = [None] * 5
-        d = BatchDispatcher(target, max_batch=4, max_delay=0.05)
+        d = BatchDispatcher(target, max_batch=4)
         try:
 
             def client(i, x):

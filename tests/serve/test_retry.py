@@ -10,6 +10,7 @@ dropped connection, and that the budget actually stops retry storms.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import random
 import socket
 import threading
@@ -34,6 +35,7 @@ from tests.serve.test_server import (
     FFT16,
     ServerHarness,
     _complex_vec,
+    _GatedTarget,
     numpy_router,
 )
 
@@ -231,12 +233,24 @@ class TestCallWithRetry:
         assert budget.denied >= 1
 
 
+@contextlib.contextmanager
+def stalled_server(router):
+    """A server whose FFT16 batches hold until the block exits — far
+    longer than any client timeout below."""
+    with ServerHarness(router, warm=[FFT16]) as harness:
+        service = router.try_service(FFT16)
+        gate = _GatedTarget(service.dispatcher.target)
+        service.dispatcher.target = gate
+        try:
+            yield harness
+        finally:
+            gate.release.set()
+
+
 class TestClientTimeout:
     def test_slow_response_raises_typed_timeout(self):
-        # max_delay keeps the request parked in the coalescing window
-        # far longer than the client timeout.
-        router = numpy_router(max_delay=5.0, max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
+        router = numpy_router(max_batch=64)
+        with stalled_server(router) as harness:
             client = SplClient(harness.host, harness.port,
                                request_timeout=0.2)
             with client:
@@ -248,8 +262,8 @@ class TestClientTimeout:
             assert elapsed < 2.0
 
     def test_per_call_timeout_overrides_default(self):
-        router = numpy_router(max_delay=5.0, max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
+        router = numpy_router(max_batch=64)
+        with stalled_server(router) as harness:
             client = SplClient(harness.host, harness.port,
                                request_timeout=60.0)
             with client:
@@ -258,8 +272,8 @@ class TestClientTimeout:
                                      timeout=0.2, retry=None)
 
     def test_timeout_poisons_the_connection_but_client_redials(self):
-        router = numpy_router(max_delay=5.0, max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
+        router = numpy_router(max_batch=64)
+        with stalled_server(router) as harness:
             client = SplClient(harness.host, harness.port,
                                request_timeout=0.2)
             with client:
@@ -285,8 +299,8 @@ class TestClientTimeout:
             finally:
                 await client.close()
 
-        router = numpy_router(max_delay=5.0, max_batch=64)
-        with ServerHarness(router, warm=[FFT16]) as harness:
+        router = numpy_router(max_batch=64)
+        with stalled_server(router) as harness:
             asyncio.run(scenario(harness.host, harness.port))
 
 

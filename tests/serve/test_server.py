@@ -157,6 +157,33 @@ class TestRoundtrips:
             asyncio.run(drive())
 
 
+class TestUnloadedLatency:
+    def test_lone_request_is_not_held_for_companions(self):
+        """Sequential requests each find their dispatcher idle.  A
+        work-conserving worker runs each one at once, so the server-
+        side time is the fixed per-request cost, well under 1 ms; a
+        batching timer would add its whole delay to every request."""
+        with ServerHarness(numpy_router(), warm=[FFT16]) as harness:
+            async def drive():
+                client = await AsyncSplClient.connect(harness.host,
+                                                      harness.port)
+                try:
+                    x = _complex_vec(16)
+                    header = {"op": "transform", "transform": "fft",
+                              "n": 16, "dtype": dtype_name(x.dtype)}
+                    server_ms = []
+                    for _ in range(50):
+                        response, _ = await client.submit(header,
+                                                          x.tobytes())
+                        server_ms.append(response["server_ms"])
+                    return server_ms
+                finally:
+                    await client.close()
+
+            server_ms = asyncio.run(drive())
+        assert float(np.median(server_ms)) < 1.0, server_ms
+
+
 class TestTypedErrors:
     def test_unknown_transform(self):
         with ServerHarness(numpy_router()) as harness, \
@@ -238,8 +265,7 @@ class TestOverloadAndIsolation:
     def test_bounded_queue_rejects_with_typed_overload(self):
         queue_limit = 4
         extra = 3
-        router = numpy_router(queue_limit=queue_limit, max_batch=64,
-                              max_delay=0.005)
+        router = numpy_router(queue_limit=queue_limit, max_batch=64)
         with ServerHarness(router, warm=[FFT16]) as harness:
             service = router.try_service(FFT16)
             gate = _GatedTarget(service.dispatcher.target)
@@ -283,7 +309,7 @@ class TestOverloadAndIsolation:
 
     def test_poisoned_request_fails_alone(self):
         batch = 5
-        router = numpy_router(max_batch=batch, max_delay=0.05)
+        router = numpy_router(max_batch=batch)
         with ServerHarness(router, warm=[WHT8]) as harness:
             service = router.try_service(WHT8)
             service.dispatcher.target = _PoisonDetector(
@@ -316,8 +342,7 @@ class TestOverloadAndIsolation:
                                            atol=1e-9)
 
     def test_open_loop_overload_run_reports_typed_outcomes(self):
-        router = numpy_router(queue_limit=2, max_batch=4,
-                              max_delay=0.001)
+        router = numpy_router(queue_limit=2, max_batch=4)
         with ServerHarness(router, warm=[FFT16]) as harness:
             async def drive():
                 return await run_load(
@@ -342,7 +367,7 @@ class TestDrain:
     """Graceful drain: stop accepting, answer everything admitted."""
 
     def test_admitted_requests_complete_and_new_ones_are_refused(self):
-        router = numpy_router(max_batch=64, max_delay=0.05)
+        router = numpy_router(max_batch=64)
         with ServerHarness(router, warm=[FFT16]) as harness:
             service = router.try_service(FFT16)
             gate = _GatedTarget(service.dispatcher.target)
@@ -390,7 +415,7 @@ class TestDrain:
                                            atol=1e-9)
 
     def test_drain_times_out_when_requests_never_finish(self):
-        router = numpy_router(max_batch=64, max_delay=0.05)
+        router = numpy_router(max_batch=64)
         with ServerHarness(router, warm=[FFT16]) as harness:
             service = router.try_service(FFT16)
             gate = _GatedTarget(service.dispatcher.target)
