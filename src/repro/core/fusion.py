@@ -324,12 +324,16 @@ def _enumerate_copies(instrs: list[Instr], temp: str,
                 del bindings[inst.var]
                 continue
             budget.charge_fusion(1, f"copy stage for ${temp}")
-            dest_index = inst.dest.index.subst(bindings).as_const()
+            dest_index = inst.dest.index.eval(bindings)
             if dest_index is None:
                 raise _Bail
             source = inst.a
             if isinstance(source, VecRef):
-                source = VecRef(source.vec, source.index.subst(bindings))
+                # Outer indices of a nested stage stay symbolic.
+                value = source.index.eval(bindings)
+                index = source.index.subst(bindings) if value is None \
+                    else IExpr.const(value)
+                source = VecRef(source.vec, index)
             # Later stores win, matching execution order.
             table[dest_index] = source
 
@@ -390,7 +394,7 @@ def _fit_source(index: IExpr, table: dict[int, Operand],
     budget.charge_fusion(len(points), f"forwarding reads of ${temp}")
     sources: list[Operand] = []
     for point in points:
-        element = index.subst(point).as_const()
+        element = index.eval(point)
         if element is None or element not in table:
             return None
         sources.append(table[element])
@@ -418,7 +422,11 @@ def _fit_source(index: IExpr, table: dict[int, Operand],
         delta = sources[position].index - origin
         fitted = fitted + delta * IExpr.var(name)
     for point, source in zip(points, sources):
-        if fitted.subst(point) != source.index:
+        value = fitted.eval(point)
+        if value is None:  # symbolic strides or outer indices remain
+            if fitted.subst(point) != source.index:
+                return None
+        elif value != source.index.as_const():
             return None
     return VecRef(vec, fitted)
 
@@ -536,7 +544,7 @@ def _try_fuse(program: Program, producer: Loop, consumer: Loop,
     for point in _domain_points(vars_p, counts):
         for expr in store_exprs:
             budget.charge_fusion(1, f"fusing stages through ${temp}")
-            element = expr.subst(point).as_const()
+            element = expr.eval(point)
             if element is None or element in seen:
                 return None
             seen.add(element)

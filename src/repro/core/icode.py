@@ -129,18 +129,50 @@ class IExpr:
         return coeffs, const
 
     def subst(self, bindings: Mapping[str, "IExpr | int"]) -> "IExpr":
-        """Substitute variables (missing names are left untouched)."""
-        result = IExpr.const(0)
+        """Substitute variables (missing names are left untouched).
+
+        One folding pass: integer and constant bindings multiply into
+        the term's coefficient, unbound names stay in its monomial
+        (still sorted), and only symbolic replacements go through
+        polynomial ``*``.  Terms meet in one dict, sorted once.
+        """
+        folded: dict[Monomial, int] = {}
         for mono, coeff in self.terms:
-            term = IExpr.const(coeff)
+            kept: list[str] = []
+            factor: IExpr | None = None
             for name in mono:
-                replacement = bindings.get(name)
-                if replacement is None:
-                    term = term * IExpr.var(name)
-                else:
-                    term = term * _coerce(replacement)
-            result = result + term
-        return result
+                value = bindings.get(name)
+                if value is None:
+                    kept.append(name)
+                    continue
+                if isinstance(value, IExpr):
+                    const = value.as_const()
+                    if const is None:
+                        factor = value if factor is None else factor * value
+                        continue
+                    value = const
+                coeff *= int(value)
+            if not coeff:
+                continue
+            if factor is None:
+                key = tuple(kept)
+                folded[key] = folded.get(key, 0) + coeff
+                continue
+            for key, part in (factor * IExpr(((tuple(kept), coeff),))).terms:
+                folded[key] = folded.get(key, 0) + part
+        return IExpr._from_dict(folded)
+
+    def eval(self, point: Mapping[str, int]) -> int | None:
+        """The value at an integer point, or None if a variable is unbound."""
+        total = 0
+        try:
+            for mono, coeff in self.terms:
+                for name in mono:
+                    coeff *= point[name]
+                total += coeff
+        except KeyError:
+            return None
+        return total
 
     def interval(self, ranges: Mapping[str, tuple[int, int]]) -> tuple[int, int]:
         """Min/max value given inclusive variable ranges (all bounds >= 0)."""

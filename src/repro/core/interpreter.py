@@ -81,7 +81,7 @@ def _run_block(body: list[Instr], vectors: dict, scalars: dict,
 
 
 def _index(expr: IExpr, bindings: dict[str, int]) -> int:
-    value = expr.subst(bindings).as_const()
+    value = expr.eval(bindings)
     if value is None:
         missing = sorted(expr.free_vars() - bindings.keys())
         raise SplSemanticError(

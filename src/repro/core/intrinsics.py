@@ -141,12 +141,10 @@ class _TableBuilder:
         for point in itertools.product(*(range(d) for d in dims)):
             if len(values) % 4096 == 4095:
                 self.budget.check_deadline("intrinsic table construction")
-            bindings = {
-                name: IExpr.const(v) for name, v in zip(ordered, point)
-            }
+            bindings = dict(zip(ordered, point))
             args = []
             for arg in operand.args:
-                value = arg.subst(bindings).as_const()
+                value = arg.eval(bindings)
                 assert value is not None
                 args.append(value)
             values.append(simplify_number(fn(*args)))

@@ -190,10 +190,13 @@ class CompileBudget:
         work scales with the iteration domain, so it draws from the
         same i-code statement budget as code generation — a
         pathological fusion candidate fails typed (``SPL-E203``)
-        instead of hanging the compiler mid-pass.
+        instead of hanging the compiler mid-pass.  The deadline is
+        checked whenever the ledger crosses a multiple of 4096, so a
+        bulk charge that steps over a boundary is checked too.
         """
+        before = self.statements
         self.charge_statements(count, construct, path)
-        if self.statements % 4096 == 0:
+        if self.statements // 4096 != before // 4096:
             self.check_deadline("loop fusion", path)
 
     def check_unroll(self, expanded: int, construct: str,

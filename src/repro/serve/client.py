@@ -85,7 +85,8 @@ class SplClient:
     connection is discarded (the response stream can no longer be
     trusted) and transparently rebuilt on the next call.  ``retry``
     (a :class:`~repro.serve.retry.RetryPolicy`) arms automatic
-    backoff-and-retry in :meth:`transform`.
+    backoff-and-retry for the constructor's dial and in
+    :meth:`transform`.
     """
 
     def __init__(self, host: str, port: int,
@@ -102,7 +103,12 @@ class SplClient:
         self._sock: socket.socket | None = None
         self._reader: _SockReader | None = None
         self._closed = False
-        self._connect()
+        # A draining worker may reset the very first dial; under a
+        # policy that is retried like any other connection loss.
+        if retry is None:
+            self._connect()
+        else:
+            call_with_retry(self._connect, retry, rng=self._rng)
 
     # -- connection lifecycle ------------------------------------------
 

@@ -133,6 +133,18 @@ class TestDeadline:
         assert err.value.code == "SPL-E206"
         assert err.value.limit_name == "compile_deadline"
 
+    def test_bulk_fusion_charge_crossing_a_boundary_checks_deadline(self):
+        budget = CompileBudget(
+            DEFAULT_LIMITS.with_overrides(compile_deadline=1e-9))
+        budget.charge_fusion(4000, "first read domain")  # no crossing
+        time.sleep(0.001)
+        # 4000 -> 4200 steps over 4096 without landing on it.
+        with pytest.raises(SplResourceError) as err:
+            budget.charge_fusion(200, "bulk read domain")
+        assert err.value.code == "SPL-E206"
+        assert "loop fusion" in str(err.value)
+        assert budget.statements == 4200
+
     def test_default_deadline_is_ample_for_real_programs(self):
         compiler = SplCompiler(CompilerOptions(language="python",
                                                unroll=True))

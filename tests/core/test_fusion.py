@@ -103,6 +103,75 @@ class TestCopyForwarding:
         assert "t0" in program.vectors
 
 
+class TestExactFit:
+    """The affine fit is verified at every point, never trusted."""
+
+    def stage_program(self, deviant: bool, nested: bool):
+        # t0(k) = x(base + k) for k < 8; the deviant store then
+        # overwrites t0(7) with x(base), so the map stays affine
+        # everywhere except the last point — past the origin and unit
+        # points the fit is interpolated from.
+        base = 8 * IExpr.var("j") if nested else IExpr.const(0)
+        i0, i1 = IExpr.var("i0"), IExpr.var("i1")
+        stage = [Loop("i0", 8, [
+            Op("=", VecRef("t0", i0), VecRef("x", base + i0)),
+        ])]
+        if deviant:
+            stage.append(Op("=", VecRef("t0", IExpr.const(7)),
+                            VecRef("x", base)))
+        body = stage + [Loop("i1", 8, [
+            Op("+", VecRef("y", base + i1), VecRef("t0", i1), FConst(1.0)),
+        ])]
+        if nested:  # outer index j stays symbolic in the fit
+            return make([Loop("j", 2, body)], n=16, temps=(("t0", 8),))
+        return make(body, n=8, temps=(("t0", 8),))
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_one_off_affine_point_blocks_forwarding(self, nested):
+        control = self.stage_program(deviant=False, nested=nested)
+        assert forward_copy_stages(control, budget()).reads_forwarded == 1
+        program = self.stage_program(deviant=True, nested=nested)
+        x = [float(k + 1) for k in range(program.in_size)]
+        before = run_program(program, x)
+        stats = forward_copy_stages(program, budget())
+        assert stats.reads_forwarded == 0
+        assert stats.stages_removed == 0
+        assert "t0" in program.vectors
+        assert run_program(program, x) == before
+
+    def test_fft1024_fusion_work_is_unchanged(self, monkeypatch):
+        # Recorded before the polynomial evaluator was replaced by the
+        # integer one: same decisions, same enumerated points.
+        from repro.core import compiler as compiler_mod
+        from repro.formulas.factorization import ct_multi
+        from repro.serve.plans import fft_factors
+
+        stats, points = [], []
+        for name in ("forward_copy_stages", "fuse_conformable_stages"):
+            def record(program, budget, _fn=getattr(compiler_mod, name)):
+                stats.append(_fn(program, budget))
+                return stats[-1]
+            monkeypatch.setattr(compiler_mod, name, record)
+        charge = CompileBudget.charge_fusion
+
+        def counted(self, count, construct, path=None):
+            points.append(count)
+            return charge(self, count, construct, path)
+        monkeypatch.setattr(CompileBudget, "charge_fusion", counted)
+        compiler = SplCompiler(CompilerOptions(codetype="real",
+                                               unroll_threshold=16))
+        compiler.compile_formula(ct_multi(fft_factors(1024)).to_spl(),
+                                 datatype="complex", language="c")
+        copies, loops = stats
+        assert (copies.reads_forwarded, copies.stages_removed,
+                copies.loops_fused, copies.temps_bypassed) == \
+            (2, 1, 0, ["t11"])
+        assert (loops.reads_forwarded, loops.stages_removed,
+                loops.loops_fused, loops.temps_bypassed) == \
+            (0, 0, 1, ["t6"])
+        assert sum(points) == 18432
+
+
 class TestConformableFusion:
     def two_stage_program(self):
         i0, i1 = IExpr.var("i0"), IExpr.var("i1")

@@ -113,3 +113,83 @@ class TestSubstitution:
         for name, coeff in coeffs.items():
             rebuilt = rebuilt + IExpr.var(name) * coeff
         assert rebuilt == expr
+
+
+def reference_subst(expr: IExpr, bindings: dict) -> IExpr:
+    """The term-by-term substitution :meth:`IExpr.subst` replaced:
+    every term rebuilt by polynomial ``*`` and summed by ``+``."""
+    result = IExpr.const(0)
+    for mono, coeff in expr.terms:
+        term = IExpr.const(coeff)
+        for name in mono:
+            replacement = bindings.get(name)
+            if replacement is None:
+                term = term * IExpr.var(name)
+            elif isinstance(replacement, IExpr):
+                term = term * replacement
+            else:
+                term = term * IExpr.const(replacement)
+        result = result + term
+    return result
+
+
+SYMBOLS = ("i0", "i1", "i2", "s", "t")
+
+
+@st.composite
+def binding_values(draw):
+    """An int, a constant IExpr, or a symbolic IExpr (possibly one that
+    cancels a term of the polynomial it is substituted into)."""
+    kind = draw(st.sampled_from(("int", "const", "symbolic", "zero")))
+    if kind == "int":
+        return draw(st.integers(-6, 6))
+    if kind == "const":
+        return IExpr.const(draw(st.integers(-6, 6)))
+    if kind == "zero":
+        return IExpr.const(0)
+    poly = IExpr.const(draw(st.integers(-3, 3)))
+    for _ in range(draw(st.integers(1, 2))):
+        poly = poly + IExpr.var(draw(st.sampled_from(SYMBOLS))) \
+            * draw(st.integers(-3, 3))
+    return poly
+
+
+@st.composite
+def partial_bindings(draw):
+    names = draw(st.sets(st.sampled_from(VARS)))
+    return {name: draw(binding_values()) for name in names}
+
+
+class TestFoldingSubstitution:
+    @given(iexprs(), assignments())
+    def test_eval_matches_full_substitution(self, expr, env):
+        assert expr.eval(env) == expr.subst(env).as_const()
+
+    @given(iexprs(), assignments(), st.sampled_from(VARS))
+    def test_eval_is_none_when_a_variable_is_unbound(self, expr, env, name):
+        del env[name]
+        if name in expr.free_vars():
+            assert expr.eval(env) is None
+        else:
+            assert expr.eval(env) == expr.subst(env).as_const()
+
+    @given(iexprs(), partial_bindings())
+    def test_matches_reference_term_by_term(self, expr, bindings):
+        assert expr.subst(bindings).terms == \
+            reference_subst(expr, bindings).terms
+
+    @given(iexprs(), st.integers(-5, 5))
+    def test_cancelling_terms_vanish(self, expr, value):
+        # p(i0, ...) - p(i1, ...) at i0 := i1, and p - p(value) at
+        # i0 := value, are zero polynomials: every term cancels.
+        for fixed in (IExpr.var("i1"), value, IExpr.const(value)):
+            cancel = expr - expr.subst({"i0": fixed})
+            assert cancel.subst({"i0": fixed}).terms == ()
+            assert reference_subst(cancel, {"i0": fixed}).terms == ()
+
+    @settings(max_examples=50)
+    @given(iexprs(), assignments())
+    def test_int_and_constant_bindings_agree(self, expr, env):
+        as_consts = {name: IExpr.const(v) for name, v in env.items()}
+        assert expr.subst(env).terms == expr.subst(as_consts).terms
+        assert expr.subst(env).terms == reference_subst(expr, env).terms

@@ -370,3 +370,42 @@ class TestClientRetryIntegration:
             reconnects = asyncio.run(
                 scenario(harness.host, harness.port))
         assert reconnects == 1  # the initial dial, shared by all 8
+
+
+class TestConstructorDial:
+    """The constructor's dial runs under the client's retry policy."""
+
+    @staticmethod
+    def reset_first_dial(monkeypatch):
+        """Make the first connection attempt fail the way a draining
+        worker's listener fails it: reset by the peer.  Later dials
+        reach the real server."""
+        dials = []
+        real_dial = socket.create_connection
+
+        def dial(address, *args, **kwargs):
+            dials.append(address)
+            if len(dials) == 1:
+                raise ConnectionResetError(104, "Connection reset by peer")
+            return real_dial(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", dial)
+        return dials
+
+    def test_reset_first_dial_is_retried_under_a_policy(self, monkeypatch):
+        x = _complex_vec(16, seed=3)
+        with ServerHarness(numpy_router(), warm=[FFT16]) as harness:
+            dials = self.reset_first_dial(monkeypatch)
+            policy = RetryPolicy(attempts=3, base_backoff_s=0.0)
+            with SplClient(harness.host, harness.port,
+                           retry=policy) as client:
+                np.testing.assert_allclose(
+                    client.transform("fft", x), np.fft.fft(x), atol=1e-9)
+        assert len(dials) == 2
+
+    def test_without_a_policy_the_reset_surfaces(self, monkeypatch):
+        with ServerHarness(numpy_router(), warm=[FFT16]) as harness:
+            dials = self.reset_first_dial(monkeypatch)
+            with pytest.raises(ConnectionResetError):
+                SplClient(harness.host, harness.port)
+        assert len(dials) == 1
